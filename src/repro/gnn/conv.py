@@ -4,10 +4,11 @@ All layers share the signature ``forward(x, edge_index, num_nodes,
 node_weight=None, workspace=None)`` where ``x`` is the ``(N, d)``
 node-feature Tensor and ``edge_index`` the ``(2, E)`` int ndarray of a
 (possibly batched) graph. ``workspace`` is an optional
-:class:`repro.graph.MessagePassingWorkspace` carrying cached scatter
-plans, the self-looped edge index and GCN normalisation weights for the
-batch topology; with it, a layer performs no per-call index arithmetic.
-Results are identical with or without it.
+:class:`repro.graph.MessagePassingWorkspace` carrying the batch
+topology's cached structures: GIN, GCN and SAGE aggregate with one
+sparse :func:`repro.tensor.propagate` over its cached operator, GAT
+reuses its self-looped edge index and scatter plans. Results are
+bit-identical with or without it.
 
 ``node_weight`` implements the paper's perturbation-mask mechanism (Eq. 14):
 a per-node multiplier applied to both a node's own contribution and to the
@@ -21,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Linear, MLP, Module, Parameter
-from ..tensor import Tensor, gather, segment_mean, segment_softmax, segment_sum
+from ..tensor import (Tensor, gather, propagate, segment_mean,
+                      segment_softmax, segment_sum)
 from ..graph.transforms import add_self_loops, normalized_adjacency_weights
 
 __all__ = ["GINConv", "GCNConv", "SAGEConv", "GATConv", "CONV_TYPES"]
@@ -50,11 +52,11 @@ class GINConv(Module):
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
                 node_weight: Tensor | None = None, workspace=None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        src, dst = edge_index
-        src_plan = workspace.plan("src") if workspace is not None else None
-        dst_plan = workspace.plan("dst") if workspace is not None else None
-        messages = gather(x, src, plan=src_plan)
-        aggregated = segment_sum(messages, dst, num_nodes, plan=dst_plan)
+        if workspace is not None:
+            aggregated = propagate(x, workspace.propagation("raw"))
+        else:
+            src, dst = edge_index
+            aggregated = segment_sum(gather(x, src), dst, num_nodes)
         combined = x * (1.0 + self.eps) + aggregated
         out = self.mlp(combined)
         return _apply_node_weight(out, node_weight)
@@ -74,19 +76,15 @@ class GCNConv(Module):
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
                 node_weight: Tensor | None = None, workspace=None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
+        transformed = self.linear(x)
         if workspace is not None:
-            looped = workspace.looped
-            norm = workspace.gcn_norm()
-            src_plan = workspace.plan("looped_src")
-            dst_plan = workspace.plan("looped_dst")
+            out = propagate(transformed, workspace.propagation("gcn"))
         else:
             looped = add_self_loops(edge_index, num_nodes)
             norm = normalized_adjacency_weights(looped, num_nodes)
-            src_plan = dst_plan = None
-        src, dst = looped
-        transformed = self.linear(x)
-        messages = gather(transformed, src, plan=src_plan) * Tensor(norm[:, None])
-        out = segment_sum(messages, dst, num_nodes, plan=dst_plan)
+            src, dst = looped
+            messages = gather(transformed, src) * Tensor(norm[:, None])
+            out = segment_sum(messages, dst, num_nodes)
         return _apply_node_weight(out.relu(), node_weight)
 
 
@@ -101,11 +99,13 @@ class SAGEConv(Module):
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
                 node_weight: Tensor | None = None, workspace=None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        src, dst = edge_index
-        src_plan = workspace.plan("src") if workspace is not None else None
-        dst_plan = workspace.plan("dst") if workspace is not None else None
-        neighbours = segment_mean(gather(x, src, plan=src_plan), dst,
-                                  num_nodes, plan=dst_plan)
+        if workspace is not None:
+            raw = workspace.propagation("raw")
+            neighbours = propagate(x, raw) * Tensor(
+                raw.inverse_degree()[:, None])
+        else:
+            src, dst = edge_index
+            neighbours = segment_mean(gather(x, src), dst, num_nodes)
         out = self.self_linear(x) + self.neigh_linear(neighbours)
         return _apply_node_weight(out.relu(), node_weight)
 

@@ -2,11 +2,12 @@
 
 Every GNN layer routes messages over the same edge set of a batch: gather
 by source, scatter-add by destination, optionally over the self-looped
-edge index with GCN normalisation. The index arithmetic behind those
-kernels (flattened bincount bins, segment counts, the looped edge index,
-normalisation weights) depends only on the batch's topology — not on
-features, parameters, layer, epoch, or forward/backward direction — so it
-is computed once here and shared by everything that touches the batch.
+edge index with GCN normalisation. The structures behind those kernels
+(sparse propagation operators, flattened bincount bins, segment counts,
+the looped edge index, normalisation weights) depend only on the batch's
+topology — not on features, parameters, layer, epoch, or forward/backward
+direction — so they are computed once here and shared by everything that
+touches the batch.
 
 :meth:`repro.graph.Batch.workspace` caches one instance per batch;
 ``gnn/conv.py`` layers accept it as an optional ``workspace`` argument and
@@ -18,14 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import ScatterPlan
+from ..tensor import Propagation, ScatterPlan
 from .transforms import add_self_loops, normalized_adjacency_weights
 
 __all__ = ["MessagePassingWorkspace"]
 
 
 class MessagePassingWorkspace:
-    """Cached scatter plans + derived edge structures for one topology.
+    """Cached propagation operators, scatter plans and derived edge
+    structures for one topology.
 
     Parameters
     ----------
@@ -38,7 +40,7 @@ class MessagePassingWorkspace:
     """
 
     __slots__ = ("edge_index", "num_nodes", "node_graph", "num_graphs",
-                 "_plans", "_looped", "_gcn_norm")
+                 "_plans", "_propagations", "_looped", "_gcn_norm")
 
     def __init__(self, edge_index: np.ndarray, num_nodes: int,
                  node_graph: np.ndarray | None = None,
@@ -48,6 +50,7 @@ class MessagePassingWorkspace:
         self.node_graph = node_graph
         self.num_graphs = num_graphs
         self._plans: dict[str, ScatterPlan] = {}
+        self._propagations: dict[str, Propagation] = {}
         self._looped: np.ndarray | None = None
         self._gcn_norm: np.ndarray | None = None
 
@@ -65,6 +68,30 @@ class MessagePassingWorkspace:
             self._gcn_norm = normalized_adjacency_weights(
                 self.looped, self.num_nodes)
         return self._gcn_norm
+
+    def propagation(self, kind: str) -> Propagation:
+        """Sparse neighbourhood-sum operator for :func:`repro.tensor.propagate`.
+
+        ``kind`` is ``raw`` (the batch's edges, unit weights), ``looped``
+        (:attr:`looped`, unit weights) or ``gcn`` (:attr:`looped` weighted
+        by :meth:`gcn_norm`).
+        """
+        prop = self._propagations.get(kind)
+        if prop is None:
+            if kind == "raw":
+                src, dst = self.edge_index
+                weight = None
+            elif kind == "looped":
+                src, dst = self.looped
+                weight = None
+            elif kind == "gcn":
+                src, dst = self.looped
+                weight = self.gcn_norm()
+            else:
+                raise ValueError(f"unknown propagation kind {kind!r}")
+            prop = Propagation(src, dst, self.num_nodes, weight)
+            self._propagations[kind] = prop
+        return prop
 
     def plan(self, direction: str) -> ScatterPlan:
         """Scatter plan routing edges into nodes.

@@ -10,8 +10,10 @@ from .tensor import (
     where,
 )
 from .segment import (
+    Propagation,
     ScatterPlan,
     gather,
+    propagate,
     segment_count,
     segment_max,
     segment_mean,
@@ -28,7 +30,9 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "ScatterPlan",
+    "Propagation",
     "gather",
+    "propagate",
     "segment_sum",
     "segment_mean",
     "segment_max",

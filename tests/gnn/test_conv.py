@@ -126,22 +126,35 @@ def test_batched_equals_individual(rng):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("conv_name", sorted(CONV_TYPES))
 def test_workspace_matches_planless(conv_name, rng):
-    from repro.graph import MessagePassingWorkspace
+    from repro.graph import Graph, MessagePassingWorkspace
 
-    batch = Batch([make_triangle(rng), make_path(rng, n=5)])
+    # Node 3 of the last graph is isolated; its edge 0→1 appears twice.
+    irregular = Graph(rng.normal(size=(4, 4)),
+                      np.array([[0, 1, 0, 2, 1], [1, 0, 1, 1, 2]]))
+    batch = Batch([make_triangle(rng), make_path(rng, n=5), irregular])
     workspace = MessagePassingWorkspace(batch.edge_index, batch.num_nodes)
     conv = CONV_TYPES[conv_name](4, 8, rng=np.random.default_rng(11))
     conv.eval()
+    weights = rng.uniform(0.2, 1.0, size=batch.num_nodes)
+    upstream = rng.normal(size=(batch.num_nodes, 8))
 
-    x_ws = Tensor(batch.x, requires_grad=True)
-    x_plain = Tensor(batch.x, requires_grad=True)
-    out_ws = conv(x_ws, batch.edge_index, batch.num_nodes,
-                  workspace=workspace)
-    out_plain = conv(x_plain, batch.edge_index, batch.num_nodes)
-    assert np.array_equal(out_ws.data, out_plain.data)
-    out_ws.sum().backward()
-    out_plain.sum().backward()
-    assert np.array_equal(x_ws.grad, x_plain.grad)
+    def run(ws):
+        conv.zero_grad()
+        x = Tensor(batch.x, requires_grad=True)
+        node_weight = Tensor(weights, requires_grad=True)
+        out = conv(x, batch.edge_index, batch.num_nodes,
+                   node_weight=node_weight, workspace=ws)
+        out.backward(upstream)
+        return (out.data, x.grad, node_weight.grad,
+                [p.grad.copy() for p in conv.parameters()])
+
+    out_ws, x_ws, nw_ws, params_ws = run(workspace)
+    out_plain, x_plain, nw_plain, params_plain = run(None)
+    assert np.array_equal(out_ws, out_plain)
+    assert np.array_equal(x_ws, x_plain)
+    assert np.array_equal(nw_ws, nw_plain)
+    for grad_ws, grad_plain in zip(params_ws, params_plain):
+        assert np.array_equal(grad_ws, grad_plain)
     # Workspace reuse across calls (different features, same topology).
     again = conv(Tensor(batch.x * 2.0), batch.edge_index, batch.num_nodes,
                  workspace=workspace)
@@ -156,6 +169,10 @@ def test_batch_workspace_is_cached_and_reused(rng):
     assert first.plan("dst") is plan
     assert first.pool_plan() is first.pool_plan()
     assert first.pool_plan().num_segments == batch.num_graphs
+    for kind in ("raw", "looped", "gcn"):
+        assert first.propagation(kind) is first.propagation(kind)
+    with pytest.raises(ValueError):
+        first.propagation("dst")
 
 
 def test_encoder_batched_forward_matches_manual_edges(rng):

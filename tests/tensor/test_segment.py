@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import (
+    Propagation,
     Tensor,
     gather,
+    propagate,
     segment_count,
     segment_max,
     segment_mean,
@@ -92,6 +94,16 @@ def test_segment_max_gradient_splits_ties():
     values = Tensor(np.array([[3.0], [3.0]]), requires_grad=True)
     segment_max(values, np.array([0, 0]), 1).sum().backward()
     assert np.allclose(values.grad, [[0.5], [0.5]])
+
+
+def test_segment_max_keeps_infinite_maxima():
+    """A segment holding +inf, or only -inf, is not empty: it keeps its
+    maximum and its gradient."""
+    values = Tensor(np.array([1.0, np.inf, 2.0, -np.inf]), requires_grad=True)
+    out = segment_max(values, np.array([0, 0, 1, 2]), 4, fill=5.0)
+    assert np.array_equal(out.data, [np.inf, 2.0, -np.inf, 5.0])
+    out.backward(np.array([3.0, 4.0, 7.0, 9.0]))
+    assert np.array_equal(values.grad, [0.0, 3.0, 4.0, 7.0])
 
 
 def test_gather_and_gradient(rng):
@@ -245,3 +257,57 @@ def test_scatter_plan_rejects_out_of_range_index(rng):
         plan.scatter_sum(np.ones(3))
     with pytest.raises(IndexError):
         segment_sum(Tensor(np.ones((3, 2))), np.array([0, 1, 5]), 3)
+
+
+# ----------------------------------------------------------------------
+# propagate: fused CSR gather → scatter-add
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 24), st.integers(0, 999),
+       st.sampled_from([None, 3]), st.booleans(), st.booleans(),
+       st.booleans())
+def test_propagate_matches_gather_then_segment_sum(
+        n, num_edges, seed, width, weighted, duplicate, self_loop):
+    """Bit-identical to the gather → segment_sum pair it fuses, forward and
+    vjp, over duplicate edges, self-loops, isolated nodes and E=0."""
+    local = np.random.default_rng(seed)
+    src = local.integers(n, size=num_edges)
+    dst = local.integers(n, size=num_edges)
+    if duplicate and num_edges:
+        src, dst = np.append(src, src[0]), np.append(dst, dst[0])
+    if self_loop:
+        src, dst = np.append(src, n - 1), np.append(dst, n - 1)
+    num_nodes = n + 1  # node n is isolated
+    shape = (num_nodes,) if width is None else (num_nodes, width)
+    payload = local.normal(size=shape)
+    upstream = local.normal(size=shape)
+    weight = local.normal(size=len(src)) if weighted else None
+
+    fused_x = Tensor(payload, requires_grad=True)
+    fused = propagate(fused_x, Propagation(src, dst, num_nodes, weight))
+    ref_x = Tensor(payload, requires_grad=True)
+    messages = gather(ref_x, src)
+    if weighted:
+        messages = messages * Tensor(
+            weight if width is None else weight[:, None])
+    reference = segment_sum(messages, dst, num_nodes)
+
+    assert np.array_equal(fused.data, reference.data)
+    fused.backward(upstream)
+    reference.backward(upstream)
+    assert np.array_equal(fused_x.grad, ref_x.grad)
+
+
+def test_propagate_rejects_out_of_range_index():
+    for src, dst in (([0, 3], [1, 0]), ([0, 1], [3, 0]), ([-1, 0], [0, 1])):
+        with pytest.raises(IndexError):
+            Propagation(np.array(src), np.array(dst), 3)
+
+
+def test_propagate_consumed_tape_raises(rng):
+    op = Propagation(np.array([0, 1, 1]), np.array([1, 0, 2]), 3)
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    loss = propagate(x, op).sum()
+    loss.backward()
+    with pytest.raises(RuntimeError):
+        loss.backward()
