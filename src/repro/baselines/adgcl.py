@@ -100,7 +100,7 @@ class ADGCL(BasePretrainer):
         z_view = self._view_embeddings(batch, keep)
         return semantic_info_nce(z_anchor, z_view, self.tau)
 
-    def pretrain(self, graphs, epochs: int = 20):
+    def pretrain(self, graphs, epochs: int = 20, **kwargs):
         if self.encoder.conv_name != "gin":
             raise ValueError("ADGCL's weighted message passing requires GIN")
-        return super().pretrain(graphs, epochs)
+        return super().pretrain(graphs, epochs, **kwargs)

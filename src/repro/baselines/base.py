@@ -9,26 +9,22 @@ mini-batch ``step``.
 
 from __future__ import annotations
 
-import time
-import warnings
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ..data import DataLoader
+from ..core.trainer import EpochLoop, graph_batches
 from ..gnn import GNNEncoder
 from ..graph import Graph
 from ..nn import Adam, Module
-from ..obs import current
 from ..tensor import Tensor
-from ..validate.numerics import NumericsGuard, global_grad_norm
 
 __all__ = ["BasePretrainer"]
 
 
-class BasePretrainer(Module):
-    """Base class: encoder + optimiser + epoch loop.
+class BasePretrainer(EpochLoop, Module):
+    """Base class: encoder + optimiser + the shared epoch loop.
 
     Parameters
     ----------
@@ -67,8 +63,7 @@ class BasePretrainer(Module):
                                   pooling=pooling)
         self._build(self._init_rng)
         self.optimizer = Adam(self.parameters(), lr=lr)
-        self.history: list[float] = []
-        self._best_loss = float("inf")
+        self.history: list[dict[str, float]] = []
 
     # ------------------------------------------------------------------
     def _build(self, rng: np.random.Generator) -> None:
@@ -83,75 +78,21 @@ class BasePretrainer(Module):
     def pretrain(self, graphs: Sequence[Graph], epochs: int = 20, *,
                  checkpoint_dir: str | Path | None = None,
                  save_every: int | None = None,
-                 observer=None) -> list[float]:
-        """Run the pre-training loop; returns per-epoch mean losses.
+                 observer=None) -> list[dict[str, float]]:
+        """Run the pre-training loop (:class:`~repro.core.trainer.
+        EpochLoop`); returns per-epoch rows whose ``loss`` is the epoch's
+        mean batch loss. ``epoch`` events carry the class name."""
+        def step(batch):
+            loss = self.step(batch)
+            return loss, {"loss": loss.item()}
 
-        ``checkpoint_dir``/``save_every`` mirror
-        :meth:`repro.core.SGCLTrainer.pretrain`: best-loss epochs go to
-        ``<dir>/best.npz``, every ``save_every``-th to
-        ``<dir>/epoch-NNNN.npz``. ``observer`` (default: the ambient
-        :func:`repro.obs.current`) receives one ``epoch`` event per epoch
-        and ``pretrain/epoch``/``pretrain/batch`` spans (with
-        ``pretrain/loss``/``pretrain/backward``/``pretrain/step``
-        children, matching the SGCL trainer's phase layout).
-        """
-        obs = observer if observer is not None else current()
-        guard = NumericsGuard(policy=self.numerics_policy,
-                              grad_clip=self.grad_clip, observer=obs)
-        parameters = self.parameters()
-        self.train()
-        for _ in range(epochs):
-            losses = []
-            skipped_batches = 0
-            started = time.perf_counter()
-            loader = DataLoader(graphs, self.batch_size, shuffle=True,
-                                rng=self._shuffle_rng)
-            with obs.span("pretrain/epoch"):
-                for batch in loader:
-                    if self.needs_pairs and batch.num_graphs < 2:
-                        continue
-                    with obs.span("pretrain/batch"):
-                        with obs.span("pretrain/loss"):
-                            loss = self.step(batch)
-                        if not guard.check_loss({"loss": loss.item()}):
-                            skipped_batches += 1
-                            continue
-                        self.optimizer.zero_grad()
-                        with obs.span("pretrain/backward"):
-                            loss.backward()
-                        if not guard.guard_gradients(
-                                parameters, global_grad_norm(parameters)):
-                            skipped_batches += 1
-                            continue
-                        with obs.span("pretrain/step"):
-                            self.optimizer.step()
-                    losses.append(loss.item())
-            if not losses:
-                # NaN (not 0.0) keeps an all-skipped epoch from being
-                # mistaken for a perfect one by best-loss checkpointing.
-                warnings.warn(
-                    f"epoch {len(self.history) + 1}: no batch was trained "
-                    f"({skipped_batches} skipped)", RuntimeWarning,
-                    stacklevel=2)
-            self.history.append(
-                float(np.mean(losses)) if losses else float("nan"))
-            obs.event("epoch", method=type(self).__name__,
-                      epoch=len(self.history), loss=self.history[-1],
-                      num_batches=len(losses),
-                      skipped_batches=skipped_batches,
-                      epoch_seconds=time.perf_counter() - started)
-            if checkpoint_dir is not None:
-                self._checkpoint_epoch(Path(checkpoint_dir), save_every)
-        return self.history
-
-    def _checkpoint_epoch(self, directory: Path,
-                          save_every: int | None) -> None:
-        epoch = len(self.history)
-        if save_every and epoch % save_every == 0:
-            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
-        if np.isfinite(self.history[-1]) and self.history[-1] < self._best_loss:
-            self._best_loss = self.history[-1]
-            self.save_checkpoint(directory / "best.npz")
+        return self._run_epochs(
+            lambda: graph_batches(graphs, self.batch_size, self._shuffle_rng,
+                                  min_graphs=2 if self.needs_pairs else 1),
+            step, epochs, self, method=type(self).__name__,
+            policy=self.numerics_policy, grad_clip=self.grad_clip,
+            observer=observer, checkpoint_dir=checkpoint_dir,
+            save_every=save_every)
 
     def save_checkpoint(self, path: str | Path,
                         metadata: dict | None = None) -> Path:

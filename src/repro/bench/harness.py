@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,40 +62,26 @@ def results_dir() -> Path:
 # ----------------------------------------------------------------------
 # Protocol runners
 # ----------------------------------------------------------------------
-class _UnsupervisedSeedJob:
-    """Picklable one-seed cell of the unsupervised protocol.
-
-    The serial and parallel paths of :func:`run_unsupervised` both call
-    this object, so a seed's accuracy depends only on the job parameters
-    and the seed — never on the worker count.
-    """
-
-    def __init__(self, method: str, dataset_name: str, *, scale: float,
-                 node_scale: float, epochs: int, folds: int, classifier: str,
-                 method_overrides: dict | None):
-        self.method = method
-        self.dataset_name = dataset_name
-        self.scale = scale
-        self.node_scale = node_scale
-        self.epochs = epochs
-        self.folds = folds
-        self.classifier = classifier
-        self.method_overrides = method_overrides or {}
-
-    def __call__(self, seed: int) -> float:
-        dataset = load_dataset(self.dataset_name, seed=seed, scale=self.scale,
-                               node_scale=self.node_scale)
-        rng = np.random.default_rng(seed)
-        pretrain_idx, _ = train_test_split(len(dataset), 0.1, rng)
-        model = make_method(self.method, dataset.num_features, seed=seed,
-                            **self.method_overrides)
-        model.pretrain([dataset[i] for i in pretrain_idx],
-                       epochs=self.epochs)
-        embeddings = embed_dataset(model.encoder, dataset)
-        accuracy, _ = cross_validated_accuracy(
-            embeddings, dataset.labels(), k=self.folds,
-            classifier=self.classifier, seed=seed, workers=1)
-        return accuracy
+def _unsupervised_seed(seed: int, *, method: str, dataset_name: str,
+                       scale: float, node_scale: float, epochs: int,
+                       folds: int, classifier: str,
+                       method_overrides: dict | None) -> float:
+    """One seed of the unsupervised protocol. Bound by ``partial`` (which
+    pickles), it serves the serial and parallel paths alike, so a seed's
+    score never depends on the worker count. The other protocols' seed
+    functions work the same way."""
+    dataset = load_dataset(dataset_name, seed=seed, scale=scale,
+                           node_scale=node_scale)
+    rng = np.random.default_rng(seed)
+    pretrain_idx, _ = train_test_split(len(dataset), 0.1, rng)
+    model = make_method(method, dataset.num_features, seed=seed,
+                        **(method_overrides or {}))
+    model.pretrain([dataset[i] for i in pretrain_idx], epochs=epochs)
+    embeddings = embed_dataset(model.encoder, dataset)
+    accuracy, _ = cross_validated_accuracy(
+        embeddings, dataset.labels(), k=folds, classifier=classifier,
+        seed=seed, workers=1)
+    return accuracy
 
 
 def run_unsupervised(method: str, dataset_name: str, *, seeds: list[int],
@@ -117,10 +104,10 @@ def run_unsupervised(method: str, dataset_name: str, *, seeds: list[int],
     """
     from ..runtime import ParallelExecutor
 
-    job = _UnsupervisedSeedJob(
-        method, dataset_name, scale=scale, node_scale=node_scale,
-        epochs=epochs, folds=folds, classifier=classifier,
-        method_overrides=method_overrides)
+    job = partial(
+        _unsupervised_seed, method=method, dataset_name=dataset_name,
+        scale=scale, node_scale=node_scale, epochs=epochs, folds=folds,
+        classifier=classifier, method_overrides=method_overrides)
     accuracies = ParallelExecutor(workers).map(job, seeds)
     scores = []
     for seed, accuracy in zip(seeds, accuracies):
@@ -153,32 +140,21 @@ def run_kernel_unsupervised(kernel: str, dataset_name: str, *,
     return mean_std(scores)
 
 
-class _TransferSeedJob:
-    """Picklable one-seed cell of the transfer protocol."""
-
-    def __init__(self, method: str, downstream_name: str, *,
-                 pretrain_scale: float, downstream_scale: float,
-                 pretrain_epochs: int, finetune_epochs: int,
-                 method_overrides: dict | None):
-        self.method = method
-        self.downstream_name = downstream_name
-        self.pretrain_scale = pretrain_scale
-        self.downstream_scale = downstream_scale
-        self.pretrain_epochs = pretrain_epochs
-        self.finetune_epochs = finetune_epochs
-        self.method_overrides = method_overrides or {}
-
-    def __call__(self, seed: int) -> float:
-        corpus = load_dataset("ZINC", seed=seed, scale=self.pretrain_scale)
-        model = make_method(self.method, corpus.num_features, seed=seed,
-                            **self.method_overrides)
-        model.pretrain(corpus.graphs, epochs=self.pretrain_epochs)
-        downstream = load_dataset(self.downstream_name, seed=seed,
-                                  scale=self.downstream_scale)
-        splits = scaffold_split(downstream)
-        rng = np.random.default_rng(seed + 1)
-        return finetune_multitask(model.encoder, downstream, splits,
-                                  epochs=self.finetune_epochs, rng=rng)
+def _transfer_seed(seed: int, *, method: str, downstream_name: str,
+                   pretrain_scale: float, downstream_scale: float,
+                   pretrain_epochs: int, finetune_epochs: int,
+                   method_overrides: dict | None) -> float:
+    """One seed of the transfer protocol."""
+    corpus = load_dataset("ZINC", seed=seed, scale=pretrain_scale)
+    model = make_method(method, corpus.num_features, seed=seed,
+                        **(method_overrides or {}))
+    model.pretrain(corpus.graphs, epochs=pretrain_epochs)
+    downstream = load_dataset(downstream_name, seed=seed,
+                              scale=downstream_scale)
+    splits = scaffold_split(downstream)
+    rng = np.random.default_rng(seed + 1)
+    return finetune_multitask(model.encoder, downstream, splits,
+                              epochs=finetune_epochs, rng=rng)
 
 
 def run_transfer(method: str, downstream_name: str, *, seeds: list[int],
@@ -193,10 +169,11 @@ def run_transfer(method: str, downstream_name: str, *, seeds: list[int],
     """
     from ..runtime import ParallelExecutor
 
-    job = _TransferSeedJob(
-        method, downstream_name, pretrain_scale=pretrain_scale,
-        downstream_scale=downstream_scale, pretrain_epochs=pretrain_epochs,
-        finetune_epochs=finetune_epochs, method_overrides=method_overrides)
+    job = partial(
+        _transfer_seed, method=method, downstream_name=downstream_name,
+        pretrain_scale=pretrain_scale, downstream_scale=downstream_scale,
+        pretrain_epochs=pretrain_epochs, finetune_epochs=finetune_epochs,
+        method_overrides=method_overrides)
     aucs = ParallelExecutor(workers).map(job, seeds)
     scores = []
     for seed, auc in zip(seeds, aucs):
@@ -208,37 +185,23 @@ def run_transfer(method: str, downstream_name: str, *, seeds: list[int],
     return mean_std(scores) if scores else (50.0, 0.0)
 
 
-class _SemiSupervisedSeedJob:
-    """Picklable one-seed cell of the semi-supervised protocol."""
-
-    def __init__(self, method: str, dataset_name: str, label_rate: float, *,
-                 scale: float, node_scale: float, pretrain_epochs: int,
-                 finetune_epochs: int, method_overrides: dict | None):
-        self.method = method
-        self.dataset_name = dataset_name
-        self.label_rate = label_rate
-        self.scale = scale
-        self.node_scale = node_scale
-        self.pretrain_epochs = pretrain_epochs
-        self.finetune_epochs = finetune_epochs
-        self.method_overrides = method_overrides or {}
-
-    def __call__(self, seed: int) -> float:
-        dataset = load_dataset(self.dataset_name, seed=seed, scale=self.scale,
-                               node_scale=self.node_scale)
-        rng = np.random.default_rng(seed)
-        train_idx, test_idx = train_test_split(len(dataset), 0.2, rng)
-        model = make_method(self.method, dataset.num_features, seed=seed,
-                            **self.method_overrides)
-        model.pretrain([dataset[i] for i in train_idx],
-                       epochs=self.pretrain_epochs)
-        labels = dataset.labels()
-        labelled_local = label_rate_split(labels[train_idx], self.label_rate,
-                                          rng)
-        labelled_idx = train_idx[labelled_local]
-        return finetune_classifier(model.encoder, dataset, labelled_idx,
-                                   test_idx, epochs=self.finetune_epochs,
-                                   rng=rng)
+def _semisupervised_seed(seed: int, *, method: str, dataset_name: str,
+                         label_rate: float, scale: float, node_scale: float,
+                         pretrain_epochs: int, finetune_epochs: int,
+                         method_overrides: dict | None) -> float:
+    """One seed of the semi-supervised protocol."""
+    dataset = load_dataset(dataset_name, seed=seed, scale=scale,
+                           node_scale=node_scale)
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = train_test_split(len(dataset), 0.2, rng)
+    model = make_method(method, dataset.num_features, seed=seed,
+                        **(method_overrides or {}))
+    model.pretrain([dataset[i] for i in train_idx], epochs=pretrain_epochs)
+    labels = dataset.labels()
+    labelled_local = label_rate_split(labels[train_idx], label_rate, rng)
+    return finetune_classifier(model.encoder, dataset,
+                               train_idx[labelled_local], test_idx,
+                               epochs=finetune_epochs, rng=rng)
 
 
 def run_semisupervised(method: str, dataset_name: str, label_rate: float, *,
@@ -254,8 +217,9 @@ def run_semisupervised(method: str, dataset_name: str, label_rate: float, *,
     """
     from ..runtime import ParallelExecutor
 
-    job = _SemiSupervisedSeedJob(
-        method, dataset_name, label_rate, scale=scale, node_scale=node_scale,
+    job = partial(
+        _semisupervised_seed, method=method, dataset_name=dataset_name,
+        label_rate=label_rate, scale=scale, node_scale=node_scale,
         pretrain_epochs=pretrain_epochs, finetune_epochs=finetune_epochs,
         method_overrides=method_overrides)
     accuracies = ParallelExecutor(workers).map(job, seeds)

@@ -109,20 +109,24 @@ def _observer_from_args(args):
     return observer, log_path
 
 
-def _write_manifest(observer, log_path, args, *, command: str) -> None:
-    """Pin config + dataset fingerprint + environment next to the log."""
-    from .data import load_dataset
+def _write_manifest(observer, log_path, args, *, command: str,
+                    dataset: dict | None = None) -> None:
+    """Pin config + dataset fingerprint + environment next to the log;
+    ``dataset`` overrides the description (node datasets pass theirs)."""
     from .obs import RunManifest, dataset_fingerprint
 
-    dataset_name = getattr(args, "dataset", None) or args.downstream
-    dataset = load_dataset(dataset_name, seed=0, scale=args.scale)
+    if dataset is None:
+        from .data import load_dataset
+
+        name = getattr(args, "dataset", None) or args.downstream
+        graphs = load_dataset(name, seed=0, scale=args.scale).graphs
+        dataset = {"name": name, "num_graphs": len(graphs),
+                   "fingerprint": dataset_fingerprint(graphs)}
     manifest = RunManifest(
         observer.run_id,
         config={key: value for key, value in vars(args).items()
                 if key not in ("fn", "command")},
-        dataset={"name": dataset_name, "num_graphs": len(dataset),
-                 "fingerprint": dataset_fingerprint(dataset.graphs)},
-        seed=0, extra={"command": command})
+        dataset=dataset, seed=0, extra={"command": command})
     manifest.write(log_path.with_suffix(".manifest.json"))
 
 
@@ -169,37 +173,67 @@ def _cmd_datasets(args: argparse.Namespace) -> None:
               f"{stats['num_classes']:>9}{'node':>16}")
 
 
-def _pretrain_checkpointed(args: argparse.Namespace) -> None:
-    """Crash-safe single-run pre-training (``--checkpoint-dir``/``--resume``).
+def _pretrain_single_run(args: argparse.Namespace) -> None:
+    """One seeded SGCL run: ``--checkpoint-dir`` and/or ``--node-level``.
 
-    Unlike the benchmark path this trains ONE seeded run with per-epoch
-    checkpoints: ``latest.npz`` is refreshed atomically every epoch, a
-    first SIGINT/SIGTERM stops the loop at the next epoch boundary and
-    writes ``emergency.npz`` (exit 130), and ``--resume`` picks up from
-    the most advanced valid checkpoint — bit-identical to a run that was
-    never interrupted.
+    Unlike the benchmark path this trains ONE run. With a checkpoint
+    directory every epoch refreshes ``latest.npz``, a first
+    SIGINT/SIGTERM stops the loop at the next epoch boundary and writes
+    ``emergency.npz`` (exit 130), and ``--resume`` picks up from the most
+    advanced valid checkpoint — bit-identical to a run that was never
+    interrupted. ``--node-level`` trains a
+    :class:`~repro.sampling.NodeSGCLTrainer` on a
+    :class:`~repro.sampling.SubgraphStream` (which re-derives epoch
+    seeds from the history length, so no loader state is persisted) and
+    reports the node-level linear-probe accuracy.
     """
     from pathlib import Path
 
     from .core import SGCLConfig, SGCLTrainer
-    from .data import load_dataset
     from .resilience import interrupt_guard, resume_trainer
 
     if args.method != "SGCL":
-        raise SystemExit(
-            "pretrain: --checkpoint-dir/--resume support --method SGCL only "
-            f"(got {args.method!r})")
-    directory = Path(args.checkpoint_dir)
+        flag = "--node-level" if args.node_level \
+            else "--checkpoint-dir/--resume"
+        raise SystemExit(f"pretrain: {flag} supports --method SGCL only "
+                         f"(got {args.method!r})")
     observer, log_path = _observer_from_args(args)
-    if log_path is not None:
-        _write_manifest(observer, log_path, args, command="pretrain")
-    dataset = load_dataset(args.dataset, seed=0, scale=args.scale)
+    if args.node_level:
+        from .runtime import ParallelExecutor
+        from .sampling import NodeSGCLTrainer, SubgraphStream, \
+            load_node_dataset, make_sampler
+
+        dataset = load_node_dataset(args.dataset, seed=0, scale=args.scale)
+        if log_path is not None:
+            _write_manifest(
+                observer, log_path, args, command="pretrain --node-level",
+                dataset={"name": args.dataset, **dataset.statistics()})
+        data = SubgraphStream(
+            make_sampler(args.sampler, dataset),
+            samples_per_epoch=args.samples_per_epoch,
+            batch_size=args.subgraph_batch, seed=0,
+            executor=ParallelExecutor(args.workers))
+        trainer_class = NodeSGCLTrainer
+        config = SGCLConfig(epochs=args.epochs, seed=0)
+    else:
+        from .data import load_dataset
+
+        if log_path is not None:
+            _write_manifest(observer, log_path, args, command="pretrain")
+        dataset = load_dataset(args.dataset, seed=0, scale=args.scale)
+        data = dataset.graphs
+        trainer_class = SGCLTrainer
+        config = SGCLConfig(epochs=args.epochs, batch_size=32, seed=0)
+    directory = Path(args.checkpoint_dir) if args.checkpoint_dir else None
     with observer.activate():
         trainer = resume_trainer(directory) if args.resume else None
         if trainer is None:
-            trainer = SGCLTrainer(
-                dataset.num_features,
-                SGCLConfig(epochs=args.epochs, batch_size=32, seed=0))
+            trainer = trainer_class(dataset.num_features, config)
+        elif type(trainer) is not trainer_class:
+            raise SystemExit(
+                f"pretrain: checkpoints in {directory} were written by "
+                f"{type(trainer).__name__}; this run needs "
+                f"{trainer_class.__name__}")
         elif trainer.in_dim != dataset.num_features:
             raise SystemExit(
                 f"pretrain: checkpoints in {directory} were trained with "
@@ -210,88 +244,39 @@ def _pretrain_checkpointed(args: argparse.Namespace) -> None:
         if args.resume and done:
             print(f"resuming at epoch {done + 1} "
                   f"({remaining} of {args.epochs} epoch(s) remaining)")
-        with interrupt_guard(on_interrupt=trainer.request_stop) as state:
-            if remaining:
-                trainer.pretrain(dataset.graphs, epochs=remaining,
-                                 checkpoint_dir=directory)
-        if state.interrupted:
-            path = trainer.save_emergency_checkpoint(directory)
-            _finish_observer(observer, log_path, args)
-            print(f"interrupted ({state.signal_name}) after "
-                  f"{len(trainer.history)} epoch(s); emergency checkpoint "
-                  f"written to {path} — resume with --resume")
-            raise SystemExit(130)
-    _finish_observer(observer, log_path, args)
-    loss = trainer.history[-1]["loss"] if trainer.history else float("nan")
-    print(f"SGCL on {args.dataset}: {len(trainer.history)} epoch(s) "
-          f"(loss {loss:.4f}); checkpoints in {directory}")
+        if directory is None:  # nothing to resume from: Ctrl-C aborts
+            trainer.pretrain(data, epochs=remaining)
+        else:
+            with interrupt_guard(on_interrupt=trainer.request_stop) as state:
+                if remaining:
+                    trainer.pretrain(data, epochs=remaining,
+                                     checkpoint_dir=directory)
+            if state.interrupted:
+                path = trainer.save_emergency_checkpoint(directory)
+                _finish_observer(observer, log_path, args)
+                print(f"interrupted ({state.signal_name}) after "
+                      f"{len(trainer.history)} epoch(s); emergency "
+                      f"checkpoint written to {path} — resume with --resume")
+                raise SystemExit(130)
+        if args.node_level:
+            from .eval import node_linear_probe
 
-
-def _pretrain_node_level(args: argparse.Namespace) -> None:
-    """Node-level SGCL over sampled subgraphs (``pretrain --node-level``).
-
-    Trains one seeded :class:`~repro.sampling.NodeSGCLTrainer` run on a
-    :class:`~repro.sampling.SubgraphStream` and reports the node-level
-    linear-probe accuracy. ``--checkpoint-dir`` refreshes ``latest.npz``
-    every epoch; ``--resume`` continues from it bit-exactly (the stream
-    re-derives epoch seeds from the history length, so no loader state
-    is persisted).
-    """
-    from pathlib import Path
-
-    from .core import SGCLConfig
-    from .eval import node_linear_probe
-    from .runtime import ParallelExecutor
-    from .sampling import NodeSGCLTrainer, SubgraphStream, load_node_dataset, \
-        make_sampler
-
-    if args.method != "SGCL":
-        raise SystemExit(
-            f"pretrain: --node-level supports --method SGCL only "
-            f"(got {args.method!r})")
-    observer, log_path = _observer_from_args(args)
-    dataset = load_node_dataset(args.dataset, seed=0, scale=args.scale)
-    if log_path is not None:
-        from .obs import RunManifest
-
-        RunManifest(
-            observer.run_id,
-            config={key: value for key, value in vars(args).items()
-                    if key not in ("fn", "command")},
-            dataset={"name": args.dataset, **dataset.statistics()},
-            seed=0, extra={"command": "pretrain --node-level"},
-        ).write(log_path.with_suffix(".manifest.json"))
-    sampler = make_sampler(args.sampler, dataset)
-    stream = SubgraphStream(
-        sampler, samples_per_epoch=args.samples_per_epoch,
-        batch_size=args.subgraph_batch, seed=0,
-        executor=ParallelExecutor(args.workers))
-    with observer.activate():
-        trainer = None
-        directory = Path(args.checkpoint_dir) if args.checkpoint_dir else None
-        if args.resume and directory and (directory / "latest.npz").exists():
-            trainer = NodeSGCLTrainer.from_checkpoint(directory / "latest.npz")
-            print(f"resuming at epoch {len(trainer.history) + 1}")
-        if trainer is None:
-            trainer = NodeSGCLTrainer(
-                dataset.num_features,
-                SGCLConfig(epochs=args.epochs, seed=0))
-        remaining = max(0, args.epochs - len(trainer.history))
-        if remaining:
-            trainer.pretrain(stream, epochs=remaining,
-                             checkpoint_dir=directory)
-        probe = node_linear_probe(
-            trainer.encoder, dataset, seed=0,
-            num_nodes=min(500, dataset.num_nodes))
+            probe = node_linear_probe(
+                trainer.encoder, dataset, seed=0,
+                num_nodes=min(500, dataset.num_nodes))
     _finish_observer(observer, log_path, args)
     loss = trainer.history[-1]["loss"] if trainer.history else float("nan")
     suffix = f"; checkpoints in {directory}" if directory else ""
-    print(f"SGCL node-level on {args.dataset} "
-          f"({dataset.num_nodes} nodes, sampler={args.sampler}): "
-          f"{len(trainer.history)} epoch(s), loss {loss:.4f}, "
-          f"probe accuracy {probe['accuracy']:.1%} "
-          f"({probe['num_train']}/{probe['num_test']} train/test)"
-          f"{suffix}")
+    if args.node_level:
+        print(f"SGCL node-level on {args.dataset} "
+              f"({dataset.num_nodes} nodes, sampler={args.sampler}): "
+              f"{len(trainer.history)} epoch(s), loss {loss:.4f}, "
+              f"probe accuracy {probe['accuracy']:.1%} "
+              f"({probe['num_train']}/{probe['num_test']} train/test)"
+              f"{suffix}")
+    else:
+        print(f"SGCL on {args.dataset}: {len(trainer.history)} epoch(s) "
+              f"(loss {loss:.4f}){suffix}")
 
 
 def _cmd_pretrain(args: argparse.Namespace) -> None:
@@ -299,11 +284,8 @@ def _cmd_pretrain(args: argparse.Namespace) -> None:
 
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("pretrain: --resume requires --checkpoint-dir")
-    if args.node_level:
-        _pretrain_node_level(args)
-        return
-    if args.checkpoint_dir:
-        _pretrain_checkpointed(args)
+    if args.node_level or args.checkpoint_dir:
+        _pretrain_single_run(args)
         return
     observer, log_path = _observer_from_args(args)
     if log_path is not None:

@@ -1,23 +1,24 @@
-"""Pre-training loop for SGCL (and a generic loop reused by baselines)."""
+"""The pre-training epoch loop shared by SGCL, node-level SGCL and the
+baselines, and the graph-level SGCL trainer built on it."""
 
 from __future__ import annotations
 
 import time
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..data import DataLoader
 from ..graph import Graph
-from ..nn import Adam
+from ..nn import Adam, Module
 from ..obs import current
 from ..validate.numerics import NumericsGuard, global_grad_norm
 from .config import SGCLConfig
 from .model import SGCLModel
 
-__all__ = ["SGCLTrainer", "global_grad_norm"]
+__all__ = ["SGCLTrainer", "EpochLoop", "graph_batches", "global_grad_norm"]
 
 
 def summarize_epoch(epoch_stats: dict[str, list[float]]) -> dict[str, float]:
@@ -25,7 +26,7 @@ def summarize_epoch(epoch_stats: dict[str, list[float]]) -> dict[str, float]:
 
     Keys ending in ``_min``/``_max`` keep their extreme over the epoch's
     batches; everything else is averaged. With no per-batch stats at all
-    (every batch skipped) the result is empty — ``pretrain`` fills in a
+    (every batch skipped) the result is empty — the loop fills in a
     well-formed NaN-loss row in that case.
     """
     summary = {}
@@ -39,44 +40,55 @@ def summarize_epoch(epoch_stats: dict[str, list[float]]) -> dict[str, float]:
     return summary
 
 
-class SGCLTrainer:
-    """Owns an :class:`SGCLModel`, its optimiser, and the pre-training loop.
+def graph_batches(graphs: Sequence[Graph], batch_size: int,
+                  rng: np.random.Generator, *, min_graphs: int = 2,
+                  prefetch: int = 0) -> Iterable:
+    """One epoch of shuffled graph mini-batches.
 
-    Parameters
-    ----------
-    in_dim:
-        Node feature dimension of the corpus.
-    config:
-        Hyper-parameters; ``config.seed`` seeds model init, shuffling and
-        augmentation sampling independently.
+    Batches with fewer than ``min_graphs`` graphs are dropped, not
+    counted as skipped (InfoNCE needs negatives), matching the
+    ``drop_last`` behaviour of the reference code.
+    """
+    loader = DataLoader(graphs, batch_size, shuffle=True, rng=rng)
+    if prefetch > 0:
+        from ..runtime import PrefetchLoader
 
-    Example
-    -------
-    >>> trainer = SGCLTrainer(dataset.num_features, SGCLConfig(epochs=5))
-    >>> history = trainer.pretrain(dataset.graphs)
-    >>> embeddings = embed_dataset(trainer.encoder, dataset)
+        loader = PrefetchLoader(loader, prefetch=prefetch)
+    return (batch for batch in loader if batch.num_graphs >= min_graphs)
+
+
+class EpochLoop:
+    """The one pre-training epoch loop, shared by every trainer.
+
+    A trainer's ``pretrain`` hands :meth:`_run_epochs` a batch source and
+    a ``step(batch) -> (loss | None, stats)``; ``None`` skips the batch.
+    The loop owns the rest, for every trainer alike:
+
+    * a :class:`~repro.validate.NumericsGuard` checks every batch: a
+      NaN/Inf loss component or gradient norm raises, skips the batch
+      (``skipped_batches``, ``numerics/skipped_batches``) or warns, and
+      ``grad_clip`` caps the global gradient L2 norm;
+    * each epoch appends one row to ``history`` — batch stats averaged
+      (``_min``/``_max`` keys kept as extremes), ``epoch``,
+      ``num_batches``, ``skipped_batches``, ``epoch_seconds`` and, when
+      traced, ``grad_norm`` — and emits it as an ``epoch`` event. An
+      epoch with no trained batch gets ``loss`` = NaN and a
+      :class:`RuntimeWarning`;
+    * ``pretrain/epoch`` / ``pretrain/batch`` spans with ``pretrain/loss``
+      / ``backward`` / ``step`` children go to ``observer`` (default: the
+      ambient :func:`repro.obs.current`);
+    * with ``checkpoint_dir``, every epoch atomically refreshes
+      ``latest.npz`` (what :func:`repro.resilience.find_latest_checkpoint`
+      resumes from), the lowest finite loss goes to ``best.npz`` and,
+      with ``save_every``, every ``save_every``-th epoch (counted over the
+      trainer's lifetime) to ``epoch-NNNN.npz``;
+    * a pending :meth:`request_stop` ends the loop at the next epoch
+      boundary, leaving the state of a run asked for fewer epochs.
     """
 
-    def __init__(self, in_dim: int, config: SGCLConfig | None = None):
-        self.config = config or SGCLConfig()
-        self.in_dim = in_dim
-        root = np.random.default_rng(self.config.seed)
-        self._init_rng = np.random.default_rng(root.integers(2 ** 63))
-        self._shuffle_rng = np.random.default_rng(root.integers(2 ** 63))
-        self._augment_rng = np.random.default_rng(root.integers(2 ** 63))
-        self.model = SGCLModel(in_dim, self.config, rng=self._init_rng)
-        self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
-        self.history: list[dict[str, float]] = []
-        self._best_loss = float("inf")
-        self._stop_requested = False
+    _best_loss = float("inf")
+    _stop_requested = False
 
-    # ------------------------------------------------------------------
-    @property
-    def encoder(self):
-        """The pre-trained representation encoder ``f_k`` (downstream use)."""
-        return self.model.encoder
-
-    # ------------------------------------------------------------------
     @property
     def stop_requested(self) -> bool:
         """Whether a graceful stop is pending (see :meth:`request_stop`)."""
@@ -95,64 +107,35 @@ class SGCLTrainer:
         """
         self._stop_requested = True
 
-    # ------------------------------------------------------------------
-    def pretrain(self, graphs: Sequence[Graph], epochs: int | None = None, *,
-                 checkpoint_dir: str | Path | None = None,
-                 save_every: int | None = None,
-                 observer=None) -> list[dict[str, float]]:
-        """Run contrastive pre-training; returns per-epoch stats.
+    def save_emergency_checkpoint(self, directory: str | Path) -> Path:
+        """Write ``<directory>/emergency.npz`` from the current state.
 
-        Every history entry is one epoch row carrying the loss components
-        (``loss``, ``loss_s``, ``loss_c``, ``loss_g``, ``theta_w``), the
-        Lipschitz-constant summary (``k_v_mean/std/min/max``), the realised
-        augmentation strength (``drop_fraction``), the gradient norm and
-        timing (``epoch``, ``epoch_seconds``, ``num_batches``) — so
-        sensitivity benchmarks can plot curves without re-running, and
-        resumed runs (the history is checkpointed) keep the full record.
-
-        Batches with fewer than 2 graphs are skipped (InfoNCE needs
-        negatives), matching ``drop_last`` behaviour of the reference code.
-
-        Every batch runs under a :class:`~repro.validate.NumericsGuard`
-        (``config.numerics_policy``): a NaN/Inf loss component or gradient
-        norm raises, skips the batch (counted in the row's
-        ``skipped_batches`` and the ``numerics/skipped_batches`` metric)
-        or warns; ``config.grad_clip`` additionally caps the global
-        gradient L2 norm. An epoch in which *every* batch was skipped
-        still yields a well-formed row (``loss`` = NaN, ``num_batches`` =
-        0) plus a :class:`RuntimeWarning`, so ``repro report`` and
-        checkpointed-history consumers keep working.
-
-        With ``checkpoint_dir`` set, every epoch atomically refreshes
-        ``<dir>/latest.npz`` (the crash-recovery point
-        :func:`repro.resilience.find_latest_checkpoint` resumes from — at
-        most one epoch of work is ever lost), the epoch with the lowest
-        mean loss is saved to ``<dir>/best.npz`` and — if ``save_every``
-        is given — every ``save_every``-th epoch to
-        ``<dir>/epoch-NNNN.npz`` (numbered over the trainer's lifetime, so
-        resumed runs continue the sequence).
-
-        A pending :meth:`request_stop` (typically installed by
-        :func:`repro.resilience.interrupt_guard` on SIGINT/SIGTERM) ends
-        the loop at the next epoch boundary; the returned history simply
-        stops early and the trainer state matches a run asked for fewer
-        epochs, bit for bit.
-
-        ``observer`` overrides the ambient :func:`repro.obs.current`
-        observer; each epoch row is also emitted as an ``epoch`` event and
-        the loop is wrapped in ``pretrain/epoch`` / ``pretrain/batch``
-        spans, with ``pretrain/loss`` / ``pretrain/backward`` /
-        ``pretrain/step`` children splitting each batch into its forward,
-        backward and optimiser phases (the granularity ``repro profile``
-        attributes op time to). With no observer active all of this is a
-        no-op.
+        Meant for the way out of an interrupted run: the trainer only
+        stops at epoch boundaries (see :meth:`request_stop`), so the
+        emergency bundle resumes bit-identically to a shorter run. The
+        write is atomic — a second interrupt mid-write leaves either the
+        previous file or none, never a truncated bundle.
         """
-        epochs = epochs if epochs is not None else self.config.epochs
+        return self.save_checkpoint(Path(directory) / "emergency.npz",
+                                    metadata={"emergency": True})
+
+    def _run_epochs(self, batches: Callable[[], Iterable], step: Callable,
+                    epochs: int, module: Module, *, method: str,
+                    policy: str, grad_clip: float | None, observer,
+                    checkpoint_dir: str | Path | None,
+                    save_every: int | None,
+                    note: str = "") -> list[dict[str, float]]:
+        """Train ``module`` for ``epochs`` epochs; returns the history.
+
+        ``batches()`` runs once per epoch and ``self.optimizer.step`` is
+        looked up on every step, so either may be replaced on the
+        instance. ``note`` ends the warning of an epoch with no batch.
+        """
         obs = observer if observer is not None else current()
-        parameters = self.model.parameters()
-        guard = NumericsGuard(policy=self.config.numerics_policy,
-                              grad_clip=self.config.grad_clip, observer=obs)
-        self.model.train()
+        parameters = module.parameters()
+        guard = NumericsGuard(policy=policy, grad_clip=grad_clip,
+                              observer=obs)
+        module.train()
         self._stop_requested = False
         for _ in range(epochs):
             if self._stop_requested:
@@ -162,22 +145,12 @@ class SGCLTrainer:
             num_batches = 0
             skipped_batches = 0
             started = time.perf_counter()
-            loader = DataLoader(graphs, self.config.batch_size, shuffle=True,
-                                rng=self._shuffle_rng)
-            if self.config.prefetch_batches > 0:
-                from ..runtime import PrefetchLoader
-
-                loader = PrefetchLoader(
-                    loader, prefetch=self.config.prefetch_batches)
             with obs.span("pretrain/epoch"):
-                for batch in loader:
-                    if batch.num_graphs < 2:
-                        continue
+                for batch in batches():
                     with obs.span("pretrain/batch"):
                         with obs.span("pretrain/loss"):
-                            loss, stats = self.model.loss(batch,
-                                                          self._augment_rng)
-                        if not guard.check_loss(stats):
+                            loss, stats = step(batch)
+                        if loss is None or not guard.check_loss(stats):
                             skipped_batches += 1
                             continue
                         self.optimizer.zero_grad()
@@ -196,24 +169,110 @@ class SGCLTrainer:
                         epoch_stats.setdefault(key, []).append(value)
             summary = summarize_epoch(epoch_stats)
             if num_batches == 0:
-                # Well-formed row even when every batch was skipped, so
-                # `repro report` and history consumers see a loss column.
+                # A NaN loss (not 0.0) keeps the row well-formed for
+                # `repro report` and never wins best-loss checkpointing.
                 summary["loss"] = float("nan")
                 warnings.warn(
                     f"epoch {len(self.history) + 1}: no batch was trained "
-                    f"({skipped_batches} skipped; batch_size="
-                    f"{self.config.batch_size} over {len(graphs)} graphs)",
-                    RuntimeWarning, stacklevel=2)
+                    f"({skipped_batches} skipped{note})",
+                    RuntimeWarning, stacklevel=3)
             summary["epoch"] = len(self.history) + 1
             summary["num_batches"] = num_batches
             summary["skipped_batches"] = skipped_batches
             summary["epoch_seconds"] = time.perf_counter() - started
             self.history.append(summary)
-            obs.event("epoch", method="SGCL", **summary)
+            obs.event("epoch", method=method, **summary)
             if checkpoint_dir is not None:
-                self._checkpoint_epoch(Path(checkpoint_dir), summary,
+                self._checkpoint_epoch(Path(checkpoint_dir), summary["loss"],
                                        save_every)
         return self.history
+
+    def _checkpoint_epoch(self, directory: Path, loss: float,
+                          save_every: int | None) -> None:
+        epoch = len(self.history)
+        self.save_checkpoint(directory / "latest.npz")
+        if save_every and epoch % save_every == 0:
+            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
+        if np.isfinite(loss) and loss < self._best_loss:
+            self._best_loss = loss
+            self.save_checkpoint(directory / "best.npz")
+
+
+class SGCLTrainer(EpochLoop):
+    """Owns an :class:`SGCLModel`, its optimiser, and the pre-training loop.
+
+    Parameters
+    ----------
+    in_dim:
+        Node feature dimension of the corpus.
+    config:
+        Hyper-parameters; ``config.seed`` seeds model init, shuffling and
+        augmentation sampling independently.
+
+    Example
+    -------
+    >>> trainer = SGCLTrainer(dataset.num_features, SGCLConfig(epochs=5))
+    >>> history = trainer.pretrain(dataset.graphs)
+    >>> embeddings = embed_dataset(trainer.encoder, dataset)
+    """
+
+    #: extra metadata every checkpoint bundle of this trainer carries
+    _checkpoint_tags: dict = {}
+
+    def __init__(self, in_dim: int, config: SGCLConfig | None = None):
+        self.config = config or SGCLConfig()
+        self.in_dim = in_dim
+        root = np.random.default_rng(self.config.seed)
+        self._init_rng = np.random.default_rng(root.integers(2 ** 63))
+        self._shuffle_rng = np.random.default_rng(root.integers(2 ** 63))
+        self._augment_rng = np.random.default_rng(root.integers(2 ** 63))
+        self.model = SGCLModel(in_dim, self.config, rng=self._init_rng)
+        self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
+        self.history: list[dict[str, float]] = []
+
+    # ------------------------------------------------------------------
+    @property
+    def encoder(self):
+        """The pre-trained representation encoder ``f_k`` (downstream use)."""
+        return self.model.encoder
+
+    def _run(self, batches, step, epochs, method: str, **kwargs):
+        """:meth:`_run_epochs` with this trainer's model and numerics."""
+        return self._run_epochs(
+            batches, step,
+            epochs if epochs is not None else self.config.epochs,
+            self.model, method=method, policy=self.config.numerics_policy,
+            grad_clip=self.config.grad_clip, **kwargs)
+
+    # ------------------------------------------------------------------
+    def pretrain(self, graphs: Sequence[Graph], epochs: int | None = None, *,
+                 checkpoint_dir: str | Path | None = None,
+                 save_every: int | None = None,
+                 observer=None) -> list[dict[str, float]]:
+        """Run contrastive pre-training; returns per-epoch stats.
+
+        Every history entry is one epoch row carrying the loss components
+        (``loss``, ``loss_s``, ``loss_c``, ``loss_g``, ``theta_w``), the
+        Lipschitz-constant summary (``k_v_mean/std/min/max``) and the
+        realised augmentation strength (``drop_fraction``), plus the
+        loop's counters and timing — so sensitivity benchmarks can plot
+        curves without re-running, and resumed runs (the history is
+        checkpointed) keep the full record. Batches with fewer than 2
+        graphs are dropped (InfoNCE needs negatives). The guard
+        (``config.numerics_policy``, ``config.grad_clip``), spans,
+        ``epoch`` events (``method="SGCL"``), graceful stop and
+        checkpoint policy are :class:`EpochLoop`'s.
+        """
+        config = self.config
+        return self._run(
+            lambda: graph_batches(graphs, config.batch_size,
+                                  self._shuffle_rng,
+                                  prefetch=config.prefetch_batches),
+            lambda batch: self.model.loss(batch, self._augment_rng),
+            epochs, "SGCL", observer=observer,
+            checkpoint_dir=checkpoint_dir, save_every=save_every,
+            note=f"; batch_size={config.batch_size} over {len(graphs)} "
+                 f"graphs")
 
     def precompute_lipschitz(self, graphs: Sequence[Graph], *,
                              workers: int | None = None,
@@ -246,29 +305,6 @@ class SGCLTrainer:
         return precompute_node_constants(self.model.generator, graphs,
                                          workers=workers, cache=cache)
 
-    def _checkpoint_epoch(self, directory: Path, summary: dict[str, float],
-                          save_every: int | None) -> None:
-        epoch = len(self.history)
-        self.save_checkpoint(directory / "latest.npz")
-        if save_every and epoch % save_every == 0:
-            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
-        loss = summary.get("loss", float("inf"))
-        if np.isfinite(loss) and loss < self._best_loss:
-            self._best_loss = loss
-            self.save_checkpoint(directory / "best.npz")
-
-    def save_emergency_checkpoint(self, directory: str | Path) -> Path:
-        """Write ``<directory>/emergency.npz`` from the current state.
-
-        Meant for the way out of an interrupted run: the trainer only
-        stops at epoch boundaries (see :meth:`request_stop`), so the
-        emergency bundle resumes bit-identically to a shorter run. The
-        write is atomic — a second interrupt mid-write leaves either the
-        previous file or none, never a truncated bundle.
-        """
-        return self.save_checkpoint(Path(directory) / "emergency.npz",
-                                    metadata={"emergency": True})
-
     # ------------------------------------------------------------------
     # Persistence (see repro.serve.checkpoint for the bundle format)
     # ------------------------------------------------------------------
@@ -284,13 +320,16 @@ class SGCLTrainer:
         return save_checkpoint(
             path, self.model, config=self.config, optimizer=self.optimizer,
             rng_state=rng_state,
-            metadata={"history": self.history, **(metadata or {})})
+            metadata={"history": self.history, **self._checkpoint_tags,
+                      **(metadata or {})})
 
     @classmethod
     def from_checkpoint(cls, path: str | Path) -> "SGCLTrainer":
         """Rebuild a trainer whose continued ``pretrain`` is bit-identical
         to one that never stopped (parameters, optimizer moments and RNG
-        streams are all restored)."""
+        streams are all restored). Subclasses rebuild an instance of their
+        own class; :func:`repro.serve.load_trainer` picks the class from a
+        bundle's metadata."""
         from ..serve.checkpoint import load_checkpoint
 
         checkpoint = load_checkpoint(path)
@@ -298,7 +337,7 @@ class SGCLTrainer:
         if config is None or checkpoint.in_dim is None:
             raise ValueError(
                 "checkpoint lacks an SGCLConfig/in_dim; it was not written "
-                "by SGCLTrainer.save_checkpoint")
+                f"by {cls.__name__}.save_checkpoint")
         trainer = cls(checkpoint.in_dim, config)
         checkpoint.restore(trainer.model, trainer.optimizer)
         if checkpoint.rng_state is not None:
@@ -306,8 +345,7 @@ class SGCLTrainer:
                 checkpoint.rng_state["shuffle"]
             trainer._augment_rng.bit_generator.state = \
                 checkpoint.rng_state["augment"]
-        history = checkpoint.metadata.get("history", [])
-        trainer.history = list(history)
+        trainer.history = list(checkpoint.metadata.get("history", []))
         losses = [s.get("loss") for s in trainer.history
                   if s.get("loss") is not None
                   and np.isfinite(s.get("loss"))]  # NaN rows = empty epochs

@@ -84,18 +84,22 @@ def find_latest_checkpoint(directory: str | Path,
 
 
 def resume_trainer(directory: str | Path):
-    """Rebuild an :class:`~repro.core.SGCLTrainer` from the latest valid
-    checkpoint under ``directory``; None when no valid checkpoint exists.
+    """Rebuild a trainer from the latest valid checkpoint under
+    ``directory``; None when no valid checkpoint exists.
 
-    The resumed trainer's continued ``pretrain`` is bit-identical to a run
-    that never stopped (see :meth:`SGCLTrainer.from_checkpoint`).
+    The class comes from the bundle (see :func:`repro.serve.load_trainer`):
+    a node-level directory resumes a
+    :class:`~repro.sampling.NodeSGCLTrainer`, any other an
+    :class:`~repro.core.SGCLTrainer`. The resumed trainer's continued
+    ``pretrain`` is bit-identical to a run that never stopped (see
+    :meth:`SGCLTrainer.from_checkpoint`).
     """
-    from ..core.trainer import SGCLTrainer
+    from ..serve.checkpoint import load_trainer
 
     path = find_latest_checkpoint(directory)
     if path is None:
         return None
-    trainer = SGCLTrainer.from_checkpoint(path)
+    trainer = load_trainer(path)
     current().event("resume", checkpoint=str(path),
                     epochs_done=len(trainer.history))
     return trainer

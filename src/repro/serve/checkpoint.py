@@ -300,12 +300,17 @@ class Checkpoint:
 
 
 def load_trainer(path: str | Path):
-    """Rebuild a full :class:`SGCLTrainer` (model + optimiser + RNG streams).
+    """Rebuild a full trainer (model + optimiser + RNG streams).
 
     Requires a checkpoint written by :meth:`SGCLTrainer.save_checkpoint`
     (i.e. one carrying an :class:`SGCLConfig`); resumed pre-training is
-    bit-identical to never having stopped.
+    bit-identical to never having stopped. A bundle tagged
+    ``metadata["node_level"]`` rebuilds a
+    :class:`~repro.sampling.NodeSGCLTrainer`, any other an
+    :class:`SGCLTrainer`.
     """
-    from ..core.trainer import SGCLTrainer
-
-    return SGCLTrainer.from_checkpoint(path)
+    if read_checkpoint_header(path).get("metadata", {}).get("node_level"):
+        from ..sampling.pretrain import NodeSGCLTrainer as trainer_class
+    else:
+        from ..core.trainer import SGCLTrainer as trainer_class
+    return trainer_class.from_checkpoint(path)

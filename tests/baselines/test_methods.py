@@ -34,7 +34,7 @@ def test_pretrain_and_embed(name, dataset):
 def test_loss_decreases_over_epochs(name, dataset):
     model = make_method(name, dataset.num_features, seed=0)
     history = model.pretrain(dataset.graphs, epochs=5)
-    assert history[-1] < history[0]
+    assert history[-1]["loss"] < history[0]["loss"]
 
 
 def test_unknown_method_rejected(dataset):

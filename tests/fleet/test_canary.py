@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,38 @@ from repro.fleet import (
     fleet_from_registry,
 )
 from repro.gnn import GNNEncoder
-from repro.serve import EmbeddingService, ModelRegistry, graph_digest
+from repro.serve import EmbeddingService, ModelRegistry, Telemetry, graph_digest
 from repro.serve.checkpoint import load_checkpoint
 
 FEATURES = 4  # matches the conftest corpus
+
+
+class _FixedClockTelemetry(Telemetry):
+    """Telemetry whose timers record a fixed duration, not wall time, so
+    latency verdicts do not depend on how busy the machine is."""
+
+    def __init__(self, seconds: float):
+        super().__init__()
+        self.seconds = seconds
+
+    @contextmanager
+    def timer(self, name: str):
+        try:
+            yield
+        finally:
+            self.observe(name, self.seconds)
+
+
+def _fixed_clock_fleet(checkpoint, stable_seconds: float):
+    router = build_fleet(checkpoint, 2, version="v1")
+    for worker in router.workers:
+        worker.stable.service.telemetry = _FixedClockTelemetry(stable_seconds)
+    return router
+
+
+def _fixed_clock_canary(bundle, seconds: float):
+    return lambda: EmbeddingService(bundle.build_encoder(),
+                                    telemetry=_FixedClockTelemetry(seconds))
 
 
 def test_canary_fraction_is_deterministic_and_uniform():
@@ -31,14 +61,15 @@ def test_canary_fraction_is_deterministic_and_uniform():
 
 def test_healthy_canary_is_promoted(checkpoint, corpus, reference):
     bundle = load_checkpoint(checkpoint)
-    with build_fleet(checkpoint, 2, version="v1") as router:
-        router.deploy_canary(
-            lambda: EmbeddingService(bundle.build_encoder()), "v2", 0.5)
+    with _fixed_clock_fleet(checkpoint, 1e-3) as router:
+        router.deploy_canary(_fixed_clock_canary(bundle, 1e-3), "v2", 0.5)
         controller = CanaryController(router, min_graphs=8)
         assert controller.step() == "continue"  # warmup: no traffic yet
         for _ in range(3):
             router.embed(corpus)
-        assert controller.evaluate()[0] == "healthy"
+        verdict, evidence = controller.evaluate()
+        assert verdict == "healthy"
+        assert evidence["latency_ratio"] == pytest.approx(1.0)
         assert controller.step() == "promote"
         assert router.canary_version is None
         result = router.embed_detailed(corpus)
@@ -46,6 +77,25 @@ def test_healthy_canary_is_promoted(checkpoint, corpus, reference):
         assert np.array_equal(result.embeddings, reference)
         # Nothing deployed: stepping again is a no-op.
         assert controller.step() == "continue"
+
+
+def test_slow_canary_is_rolled_back(checkpoint, corpus, reference):
+    """p95 above ``max_latency_ratio`` x the stable p95 is unhealthy, even
+    when every row the canary served is correct."""
+    bundle = load_checkpoint(checkpoint)
+    with _fixed_clock_fleet(checkpoint, 1e-3) as router:
+        router.deploy_canary(_fixed_clock_canary(bundle, 4e-3), "v2", 0.5)
+        controller = CanaryController(router, min_graphs=8,
+                                      max_latency_ratio=3.0)
+        result = router.embed_detailed(corpus)
+        assert np.array_equal(result.embeddings, reference)
+        assert "v2" in set(result.versions)
+        verdict, evidence = controller.evaluate()
+        assert verdict == "unhealthy"
+        assert evidence["failure_rate"] == 0.0
+        assert evidence["latency_ratio"] == pytest.approx(4.0)
+        assert controller.step() == "rollback"
+        assert router.canary_version is None
 
 
 class _BrokenEncoder:
